@@ -34,6 +34,19 @@ fn bench_busy(c: &mut Criterion) {
         b.iter(|| black_box(p_bundle).ln_expected())
     });
 
+    // The heaviest swarm of Figure 1's quick catalog at age 0 (β·α₂ ≈
+    // 1,605): the eq. (9) evaluation the measurement study spends most on.
+    let p_catalog_heavy = TwoPhaseBusyPeriod {
+        beta: 0.2305811236819636,
+        theta: 6962.240661799043,
+        q1: 0.07453919301692861,
+        alpha1: 1.1309765934891878,
+        alpha2: 6962.240661799043,
+    };
+    c.bench_function("eq9_two_phase_catalog_heavy", |b| {
+        b.iter(|| black_box(p_catalog_heavy).ln_expected())
+    });
+
     c.bench_function("eq18_exceptional_initiator", |b| {
         let initiator = Exp::new(300.0);
         b.iter(|| {

@@ -235,7 +235,12 @@ pub fn simulate_swarm_recorded(
     while t < horizon {
         let seg_end = (((t / refresh).floor() + 1.0) * refresh).min(horizon);
         let age_days = start_age + t / 24.0;
-        let params = seed_process(swarm, age_days);
+        // The first segment starts at `start_age`, where `p0` already is.
+        let params = if t == 0.0 {
+            p0
+        } else {
+            seed_process(swarm, age_days)
+        };
         let lambda = (swarm.demand * demand_decay(age_days)).max(1e-12);
         while t < seg_end {
             let mean = if on { params.on_mean } else { params.off_mean };

@@ -90,15 +90,18 @@ pub fn monitor<R: Rng + ?Sized>(swarm: &Swarm, months: u32, rng: &mut R) -> Vec<
     assert!(months >= 1, "must monitor for at least one month");
     let horizon_hours = (months as f64 * HOURS_PER_MONTH) as usize;
     let mut samples = Vec::with_capacity(horizon_hours);
+    // Per-hour toggle probability out of the OFF (index 0) and ON
+    // (index 1) states; it only changes when the parameters do.
+    let toggle =
+        |p: SeedProcessParams| [p.off_mean, p.on_mean].map(|mean| 1.0 - (-1.0 / mean).exp());
     let p0 = seed_process(swarm, 0.0);
     let mut on = rng.gen::<f64>() < p0.on_mean / (p0.on_mean + p0.off_mean);
-    let mut params = p0;
+    let mut p_toggle = toggle(p0);
     for hour in 0..horizon_hours {
         if hour % PARAM_REFRESH_HOURS == 0 && hour > 0 {
-            params = seed_process(swarm, hour as f64 / 24.0);
+            p_toggle = toggle(seed_process(swarm, hour as f64 / 24.0));
         }
-        let mean = if on { params.on_mean } else { params.off_mean };
-        if rng.gen::<f64>() < 1.0 - (-1.0 / mean).exp() {
+        if rng.gen::<f64>() < p_toggle[usize::from(on)] {
             on = !on;
         }
         samples.push(on);
@@ -160,6 +163,36 @@ mod tests {
         assert!(young.on_mean >= old.on_mean);
         assert!(young.off_mean <= old.off_mean);
         assert!(stationary_availability(&s, 0.0) >= stationary_availability(&s, 365.0));
+    }
+
+    #[test]
+    fn seed_process_bits_are_pinned_for_heaviest_fig1_swarms() {
+        // Figure 1's quick catalog; swarms 518, 398 and 31 carry the
+        // largest eq. (9) loads (β·α₂ ≈ 1605, 765, 672 at age 0). Values
+        // are (id, age in days, on_mean bits, off_mean bits).
+        const GOLDEN: [(u64, f64, u64, u64); 9] = [
+            (518, 0.0, 0x40f5630000000000, 0x4012bea3da269535),
+            (518, 7.0, 0x40f5630000000000, 0x401ebec5bd1bd9d0),
+            (518, 203.0, 0x40f5630000000000, 0x40824de0fdaadf20),
+            (398, 0.0, 0x40f5630000000000, 0x3ffc33edf8d41bc1),
+            (398, 7.0, 0x40f5630000000000, 0x40072118bb047d21),
+            (398, 203.0, 0x40f1b92d14259b68, 0x406b8a4585037b52),
+            (31, 0.0, 0x40f5630000000000, 0x401891b6e50c9002),
+            (31, 7.0, 0x40f5630000000000, 0x402426391621bc08),
+            (31, 203.0, 0x40c822c459386bf1, 0x4087fdea46a76198),
+        ];
+        let catalog = generate_catalog(&CatalogConfig {
+            scale: 0.002,
+            seed: 1001,
+        });
+        for (id, age, on_bits, off_bits) in GOLDEN {
+            let p = seed_process(&catalog[id as usize], age);
+            assert_eq!(
+                (p.on_mean.to_bits(), p.off_mean.to_bits()),
+                (on_bits, off_bits),
+                "swarm {id} at {age} days: {p:?}"
+            );
+        }
     }
 
     #[test]

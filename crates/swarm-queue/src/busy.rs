@@ -20,7 +20,7 @@
 
 use crate::dist::ResidenceTime;
 use crate::series::{
-    ln_add_exp, ln_factorial, ln_sub_exp, ln_sum_series, LogSumExp, SeriesControl,
+    ln_add_exp, ln_factorial, ln_sub_exp, ln_sum_series, LogSumExp, SeriesControl, LN_ABSORBED,
 };
 use serde::{Deserialize, Serialize};
 
@@ -133,6 +133,14 @@ impl TwoPhaseBusyPeriod {
     ///
     /// `E[B] = θ + Σ_{i≥1} (βⁱ/i!) Σ_{j=0}^{i} C(i,j) q₁ʲ q₂^{i−j}
     ///          α₁^{1+j} α₂^{1−j+i} θ / (α₁α₂ + jθα₂ + θα₁(i−j))`
+    ///
+    /// The double series is O(N²) in the number of outer terms, so the
+    /// invariant logs are hoisted, `ln i!` comes from a table filled by
+    /// [`ln_factorial`], and inner terms that provably cannot change the
+    /// accumulator's bits are skipped before their `denom.ln()` (see
+    /// DESIGN.md, "Numerical notes"). Every term that is kept is computed
+    /// with the same operations in the same order as the plain loop, so
+    /// the result is bit-identical to it.
     pub fn ln_expected(&self) -> f64 {
         self.validate();
         let &TwoPhaseBusyPeriod {
@@ -145,13 +153,94 @@ impl TwoPhaseBusyPeriod {
         let q2 = 1.0 - q1;
         let ln_q1 = if q1 > 0.0 { q1.ln() } else { f64::NEG_INFINITY };
         let ln_q2 = if q2 > 0.0 { q2.ln() } else { f64::NEG_INFINITY };
+        let (ln_beta, ln_theta) = (beta.ln(), theta.ln());
+        let (ln_alpha1, ln_alpha2) = (alpha1.ln(), alpha2.ln());
+        let denom = |i: u64, j: u64| {
+            alpha1 * alpha2 + j as f64 * theta * alpha2 + theta * alpha1 * (i - j) as f64
+        };
+        // ln_fact[n] = ln n! for every n reached so far.
+        let mut ln_fact = vec![ln_factorial(0)];
+
+        let ln_series = ln_sum_series(
+            |i| {
+                ln_fact.push(ln_factorial(i));
+                let lf = |n: u64| ln_fact[n as usize];
+                // `denom` is linear in j: its minimum over 0..=i sits at
+                // an endpoint, which bounds `−ln denom` from above.
+                let ln_denom_min = denom(i, 0).min(denom(i, i)).ln();
+                let mut inner = LogSumExp::new();
+                for j in 0..=i {
+                    // Degenerate mixture weights: skip impossible terms
+                    // rather than evaluate 0^0 via logs.
+                    if (q1 == 0.0 && j > 0) || (q2 == 0.0 && j < i) {
+                        continue;
+                    }
+                    let jf = j as f64;
+                    let imj = (i - j) as f64;
+                    let mut t = lf(i) - lf(j) - lf(i - j);
+                    if j > 0 {
+                        t += jf * ln_q1;
+                    }
+                    if i - j > 0 {
+                        t += imj * ln_q2;
+                    }
+                    let rest =
+                        (1.0 + jf) * ln_alpha1 + (1.0 - jf + i as f64) * ln_alpha2 + ln_theta;
+                    // Absorbed even at its upper bound: the 1-nat margin
+                    // past `LN_ABSORBED` covers the bound's own rounding.
+                    if t + (rest - ln_denom_min) < inner.ln_max() + (LN_ABSORBED - 1.0) {
+                        continue;
+                    }
+                    t += rest - denom(i, j).ln();
+                    if t - inner.ln_max() < LN_ABSORBED {
+                        continue;
+                    }
+                    inner.add_ln(t);
+                }
+                i as f64 * ln_beta - lf(i) + inner.ln_sum()
+            },
+            SeriesControl::default(),
+        );
+        ln_add_exp(ln_theta, ln_series)
+    }
+}
+
+/// Convenience wrapper: eq. (9) in linear domain.
+pub fn two_phase_busy_period(p: TwoPhaseBusyPeriod) -> f64 {
+    p.expected()
+}
+
+/// Convenience wrapper: eq. (9) in the log domain.
+pub fn ln_two_phase_busy_period(p: TwoPhaseBusyPeriod) -> f64 {
+    p.ln_expected()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::{Exp, MaxOfExponentials};
+    use proptest::prelude::*;
+
+    /// The plain eq. (9) double loop: every log taken in place, every
+    /// inner term accumulated. [`TwoPhaseBusyPeriod::ln_expected`] must
+    /// reproduce it bit for bit.
+    fn ln_expected_reference(p: &TwoPhaseBusyPeriod) -> f64 {
+        p.validate();
+        let &TwoPhaseBusyPeriod {
+            beta,
+            theta,
+            q1,
+            alpha1,
+            alpha2,
+        } = p;
+        let q2 = 1.0 - q1;
+        let ln_q1 = if q1 > 0.0 { q1.ln() } else { f64::NEG_INFINITY };
+        let ln_q2 = if q2 > 0.0 { q2.ln() } else { f64::NEG_INFINITY };
 
         let ln_series = ln_sum_series(
             |i| {
                 let mut inner = LogSumExp::new();
                 for j in 0..=i {
-                    // Degenerate mixture weights: skip impossible terms
-                    // rather than evaluate 0^0 via logs.
                     if (q1 == 0.0 && j > 0) || (q2 == 0.0 && j < i) {
                         continue;
                     }
@@ -176,22 +265,95 @@ impl TwoPhaseBusyPeriod {
         );
         ln_add_exp(theta.ln(), ln_series)
     }
-}
 
-/// Convenience wrapper: eq. (9) in linear domain.
-pub fn two_phase_busy_period(p: TwoPhaseBusyPeriod) -> f64 {
-    p.expected()
-}
+    fn assert_bit_identical(p: TwoPhaseBusyPeriod) {
+        let (fast, slow) = (p.ln_expected(), ln_expected_reference(&p));
+        assert_eq!(
+            fast.to_bits(),
+            slow.to_bits(),
+            "{p:?}: fast {fast:e} vs reference {slow:e}"
+        );
+    }
 
-/// Convenience wrapper: eq. (9) in the log domain.
-pub fn ln_two_phase_busy_period(p: TwoPhaseBusyPeriod) -> f64 {
-    p.ln_expected()
-}
+    /// Small-load swarm: the `eq9_two_phase_small_load` bench case.
+    const SMALL_LOAD: TwoPhaseBusyPeriod = TwoPhaseBusyPeriod {
+        beta: 1.0 / 60.0 + 1.0 / 900.0,
+        theta: 300.0,
+        q1: 0.9375,
+        alpha1: 80.0,
+        alpha2: 300.0,
+    };
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dist::{Exp, MaxOfExponentials};
+    /// K = 6 bundle (load ~48): the `eq9_two_phase_bundle_load` bench case.
+    const K6_BUNDLE: TwoPhaseBusyPeriod = TwoPhaseBusyPeriod {
+        beta: 6.0 / 60.0 + 1.0 / 900.0,
+        theta: 300.0,
+        q1: 0.989,
+        alpha1: 480.0,
+        alpha2: 300.0,
+    };
+
+    /// The heaviest swarm of Figure 1's quick catalog (scale 0.002, seed
+    /// 1001) at age 0: `β·α₂ ≈ 1,605`, the measurement study's worst case.
+    const CATALOG_HEAVY: TwoPhaseBusyPeriod = TwoPhaseBusyPeriod {
+        beta: 0.2305811236819636,
+        theta: 6962.240661799043,
+        q1: 0.07453919301692861,
+        alpha1: 1.1309765934891878,
+        alpha2: 6962.240661799043,
+    };
+
+    #[test]
+    fn fast_eq9_is_bit_identical_on_fixed_cases() {
+        assert_bit_identical(SMALL_LOAD);
+        assert_bit_identical(K6_BUNDLE);
+        for q1 in [0.0, 1.0] {
+            assert_bit_identical(TwoPhaseBusyPeriod { q1, ..SMALL_LOAD });
+            assert_bit_identical(TwoPhaseBusyPeriod { q1, ..K6_BUNDLE });
+        }
+    }
+
+    #[test]
+    #[ignore = "heavy load; run with `cargo test --release -p swarm-queue -- --ignored`"]
+    fn fast_eq9_is_bit_identical_at_catalog_heavy_load() {
+        assert_bit_identical(CATALOG_HEAVY);
+        for q1 in [0.0, 1.0] {
+            assert_bit_identical(TwoPhaseBusyPeriod {
+                q1,
+                ..CATALOG_HEAVY
+            });
+        }
+    }
+
+    #[test]
+    #[ignore = "heavy load; run with `cargo test --release -p swarm-queue -- --ignored`"]
+    fn fast_eq9_is_bit_identical_at_bundle_scale_load() {
+        // The K = 30 bundle of `two_phase_ln_survives_bundle_scale_loads`:
+        // β·α₁ = 27,000, tens of thousands of outer terms.
+        assert_bit_identical(TwoPhaseBusyPeriod {
+            beta: 15.0,
+            theta: 300.0,
+            q1: 0.99,
+            alpha1: 1800.0,
+            alpha2: 300.0,
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fast_eq9_is_bit_identical(
+            beta in 0.01..0.3f64,
+            theta in 1.0..30f64,
+            q1 in 0.0..1.0f64,
+            alpha1 in 0.5..30f64,
+            alpha2 in 0.5..30f64,
+        ) {
+            let p = TwoPhaseBusyPeriod { beta, theta, q1, alpha1, alpha2 };
+            prop_assert_eq!(p.ln_expected().to_bits(), ln_expected_reference(&p).to_bits());
+        }
+    }
 
     #[test]
     fn classical_small_load() {

@@ -65,6 +65,13 @@ pub fn ln_poisson_pmf(x: f64, i: u64) -> f64 {
     -x + i as f64 * x.ln() - ln_factorial(i)
 }
 
+/// Gap below a [`LogSumExp`]'s running maximum past which adding a term
+/// cannot change the sum's bits: the scaled sum is always ≥ 1 once
+/// non-empty, and `e^{-37} < 2^{-53}` is less than half its ulp, so the
+/// addition rounds straight back to the same value. Callers may skip such
+/// terms (and the work of computing them) without changing the result.
+pub(crate) const LN_ABSORBED: f64 = -37.0;
+
 /// Streaming log-sum-exp accumulator: maintains `ln Σ e^{t_k}` over terms
 /// added as logs, without ever materializing the linear-domain sum.
 #[derive(Debug, Clone, Copy)]
@@ -103,6 +110,11 @@ impl LogSumExp {
         } else {
             self.scaled_sum += (ln_term - self.max).exp();
         }
+    }
+
+    /// The largest term added so far, as a log; `-inf` when empty.
+    pub(crate) fn ln_max(&self) -> f64 {
+        self.max
     }
 
     /// `ln Σ e^{t_k}` so far; `-inf` when empty.
@@ -284,6 +296,18 @@ mod tests {
         acc.add_ln(1000.0); // e^1000 overflows f64
         acc.add_ln(1000.0);
         assert!((acc.ln_sum() - (1000.0 + 2f64.ln())).abs() < 1e-12);
+    }
+
+    #[test]
+    fn absorbed_terms_round_away_from_the_smallest_scaled_sum() {
+        // A non-empty accumulator's scaled sum is at least 1.
+        assert!(LN_ABSORBED.exp() < f64::EPSILON / 2.0);
+        assert_eq!(1.0 + LN_ABSORBED.exp(), 1.0);
+        let mut acc = LogSumExp::new();
+        acc.add_ln(0.0);
+        acc.add_ln(LN_ABSORBED - 1e-9);
+        assert_eq!(acc.ln_sum().to_bits(), 0f64.to_bits());
+        assert_eq!(acc.ln_max(), 0.0);
     }
 
     #[test]
