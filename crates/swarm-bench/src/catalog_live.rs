@@ -1,11 +1,11 @@
 //! E1′ — `catalog-live`: the whole generated catalog ticked through the
 //! sharded multi-swarm runtime.
 //!
-//! Where `fig1` *samples* availability with hourly monitoring agents,
-//! this experiment runs every swarm of the catalog through
-//! `swarm-catalog`'s work-stealing shard pool and reports measured
-//! aggregates: seed-time CDF calibration points, downloads served,
-//! seed-process transitions. Every number in the JSON payload is
+//! Where `fig1` polls each swarm's seed walk on the hour, this
+//! experiment runs the same walk for every swarm of Figure 1's catalog
+//! through `swarm-catalog`'s work-stealing shard pool and reports its
+//! exact seed time — the live column of E1 — with the downloads served
+//! and the seed-process transitions. Every number in the JSON payload is
 //! deterministic in the catalog seed alone — shard count and steal
 //! order provably cannot move it — so the quick-mode run doubles as a
 //! cross-thread-count regression surface for the `repro diff` gate.

@@ -20,10 +20,10 @@ use swarm_lab::{JobOutput, JobSpec};
 /// publisher regimes exercised by the `bt_idle` benchmark instead.
 ///
 /// The `catalog` family (the `catalog-live` experiment plus the live
-/// arms inside `fig1`/`table-books`/`table-friends`) was measured after
-/// the sharded runtime landed: the event-driven engine makes the live
-/// arm cheaper than the hourly sampled arm it sits beside, so `fig1`
-/// barely moved and `catalog-live` itself is mid-pack.
+/// arms inside `table-books`/`table-friends`) was measured after the
+/// sharded runtime landed: the event-driven engine makes the live arm
+/// cheaper than the sampled arm it sits beside, so `catalog-live` itself
+/// is mid-pack.
 fn quick_cost(id: &str) -> f64 {
     match id {
         "fig6a" => 1.6,
@@ -45,8 +45,7 @@ fn quick_cost(id: &str) -> f64 {
 fn is_replicated(id: &str) -> bool {
     matches!(
         id,
-        "fig1"
-            | "catalog-live"
+        "catalog-live"
             | "table-books"
             | "table-friends"
             | "fig4"

@@ -1,22 +1,21 @@
 //! Catalog-scale sharded multi-swarm runtime.
 //!
-//! The measurement crate reproduces the paper's §2 study by *sampling*:
-//! every experiment walks the generated catalog serially, drawing each
-//! swarm's hourly seed-presence from one shared RNG. That caps the
-//! population size an experiment can afford and welds the results to a
-//! single visit order. This crate lifts the same seed-presence model to
-//! catalog scale:
+//! The measurement crate reproduces the paper's §2 study with monitoring
+//! agents that walk the generated catalog serially, drawing every
+//! swarm's seed walk (`swarm_measurement::observe::seed_walk`) from one
+//! shared RNG. That caps the population size an experiment can afford
+//! and welds the results to a single visit order. This crate runs the
+//! same walk at catalog scale:
 //!
 //! * [`runtime`] — the sharded engine. The whole catalog is partitioned
 //!   across a work-stealing shard pool (built on
 //!   `swarm_stats::parallel::run_stealing`, which leases its workers
 //!   from the process-wide [`ThreadBudget`]). Each swarm advances
 //!   *event-driven*: seed-present/seedless dwell times are drawn
-//!   directly from the alternating-renewal process instead of being
-//!   sampled hour by hour, so a quiescent swarm — months of seedless
-//!   time — costs one exponential draw per parameter-refresh window.
-//!   That is the measurement-layer analog of the swarm-bt engine's
-//!   quiescence fast-forward.
+//!   directly from the alternating-renewal process, so a quiescent
+//!   swarm — months of seedless time — costs one exponential draw per
+//!   parameter-refresh window. That is the measurement-layer analog of
+//!   the swarm-bt engine's quiescence fast-forward.
 //! * Determinism: every swarm owns a private ChaCha8 stream derived
 //!   from `(catalog_seed, swarm_id)` via SplitMix64, so results are
 //!   bit-identical no matter how many shards run or how work is stolen

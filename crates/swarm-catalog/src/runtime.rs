@@ -1,14 +1,13 @@
 //! The sharded catalog engine.
 //!
-//! One [`SwarmSummary`] per catalog swarm, produced by an event-driven
-//! walk of the swarm's seed process over the monitoring horizon. The
-//! walk mirrors `swarm_measurement::observe::monitor` — same
-//! [`seed_process`] parameterization, same weekly parameter refresh,
-//! same stationary initial draw — but replaces the hourly Bernoulli
-//! toggle with exact exponential dwell times, and additionally counts
-//! the peers that arrive (and the completers that linger as seeds)
-//! while the swarm is available. An idle swarm therefore costs one RNG
-//! draw per week of simulated time instead of 168.
+//! One [`SwarmSummary`] per catalog swarm, produced by walking the
+//! swarm's seed process with `swarm_measurement::observe::seed_walk`,
+//! which owns the seed ON/OFF simulator (stationary first draw, weekly
+//! parameter refresh, exact exponential dwells). This module adds the
+//! peers that arrive while a seed is online, and the completers that
+//! linger as seeds, drawing them from the swarm's stream inside the
+//! walk's ON-dwell hook. An idle swarm therefore costs one RNG draw per
+//! week of simulated time.
 //!
 //! # Determinism
 //!
@@ -29,7 +28,7 @@ use rand_distr::{Distribution, Exp};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use swarm_measurement::observe::{
-    demand_decay, seed_process, HOURS_PER_MONTH, PARAM_REFRESH_HOURS,
+    demand_decay, is_toggle, seed_walk, HOURS_PER_MONTH, PARAM_REFRESH_HOURS,
 };
 use swarm_measurement::Swarm;
 use swarm_stats::parallel::run_stealing;
@@ -164,19 +163,10 @@ pub fn swarm_stream(catalog_seed: u64, swarm_id: u64) -> ChaCha8Rng {
     ChaCha8Rng::from_seed(key)
 }
 
-fn sample_exp<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    Exp::new(rate).expect("positive rate").sample(rng)
-}
-
-/// Event-driven walk of one swarm's seed process over the horizon.
-///
-/// Time advances in weekly segments (the [`PARAM_REFRESH_HOURS`]
-/// discretization shared with the hourly monitor): within a segment the
-/// hazards are constant, so dwell times are exponential and truncation
-/// at the segment boundary is exact by memorylessness. While a seed is
-/// present, peer arrivals are generated from their exponential
-/// inter-arrival times at the (age-decayed) demand, and each arrival
-/// lingers as a seed with probability `altruist_rate / demand`.
+/// One swarm's [`seed_walk`] over the horizon, with its peers: while a
+/// seed is present, peer arrivals are generated from their
+/// exponential inter-arrival times at the (age-decayed) demand, and each
+/// arrival lingers as a seed with probability `altruist_rate / demand`.
 pub fn simulate_swarm(swarm: &Swarm, cfg: &CatalogRunConfig) -> SwarmSummary {
     simulate_swarm_recorded(swarm, cfg, None)
 }
@@ -214,74 +204,56 @@ pub fn simulate_swarm_recorded(
     } else {
         0.0
     };
-    let refresh = PARAM_REFRESH_HOURS as f64;
     let linger_p = (swarm.altruist_rate / swarm.demand).clamp(0.0, 1.0);
+    let fm_end = HOURS_PER_MONTH.min(horizon);
+    let mut first_month_on_hours = 0.0;
+    let (mut arrivals, mut lingered) = (0, 0);
 
-    let p0 = seed_process(swarm, start_age);
-    let mut on = rng.gen::<f64>() < p0.on_mean / (p0.on_mean + p0.off_mean);
-
-    let mut out = SwarmSummary {
+    let walk = seed_walk(
+        swarm,
+        start_age,
+        horizon,
+        &mut rng,
+        |rng, from, until, age_days| {
+            if from < fm_end {
+                first_month_on_hours += until.min(fm_end) - from;
+            }
+            if let Some(rec) = ts.as_deref_mut() {
+                record_on_span(rec, from, until);
+                for t in [from, until] {
+                    if is_toggle(t, horizon) {
+                        rec.add(t as u64, "toggles", 1);
+                    }
+                }
+            }
+            // Peers arriving while the content is fetchable.
+            let gap = Exp::new((swarm.demand * demand_decay(age_days)).max(1e-12))
+                .expect("positive rate");
+            let mut next = from + gap.sample(rng);
+            while next < until {
+                arrivals += 1;
+                let lingers = rng.gen::<f64>() < linger_p;
+                if lingers {
+                    lingered += 1;
+                }
+                if let Some(rec) = ts.as_deref_mut() {
+                    rec.add(next as u64, "arrivals", 1);
+                    rec.add(next as u64, "lingered", u64::from(lingers));
+                }
+                next += gap.sample(rng);
+            }
+        },
+    );
+    SwarmSummary {
         id: swarm.id,
-        on_hours: 0.0,
-        first_month_on_hours: 0.0,
-        toggles: 0,
-        arrivals: 0,
-        lingered: 0,
-        events: 0,
-        final_on: on,
-    };
-
-    let mut t = 0.0f64;
-    while t < horizon {
-        let seg_end = (((t / refresh).floor() + 1.0) * refresh).min(horizon);
-        let age_days = start_age + t / 24.0;
-        // The first segment starts at `start_age`, where `p0` already is.
-        let params = if t == 0.0 {
-            p0
-        } else {
-            seed_process(swarm, age_days)
-        };
-        let lambda = (swarm.demand * demand_decay(age_days)).max(1e-12);
-        while t < seg_end {
-            let mean = if on { params.on_mean } else { params.off_mean };
-            let until = (t + sample_exp(&mut rng, 1.0 / mean)).min(seg_end);
-            if on {
-                out.on_hours += until - t;
-                let fm_end = HOURS_PER_MONTH.min(horizon);
-                if t < fm_end {
-                    out.first_month_on_hours += until.min(fm_end) - t;
-                }
-                if let Some(rec) = ts.as_deref_mut() {
-                    record_on_span(rec, t, until);
-                }
-                // Peers arriving while the content is fetchable.
-                let mut next = t + sample_exp(&mut rng, lambda);
-                while next < until {
-                    out.arrivals += 1;
-                    let lingers = rng.gen::<f64>() < linger_p;
-                    if lingers {
-                        out.lingered += 1;
-                    }
-                    if let Some(rec) = ts.as_deref_mut() {
-                        rec.add(next as u64, "arrivals", 1);
-                        rec.add(next as u64, "lingered", u64::from(lingers));
-                    }
-                    next += sample_exp(&mut rng, lambda);
-                }
-            }
-            out.events += 1;
-            t = until;
-            if until < seg_end {
-                on = !on;
-                out.toggles += 1;
-                if let Some(rec) = ts.as_deref_mut() {
-                    rec.add(until as u64, "toggles", 1);
-                }
-            }
-        }
+        on_hours: walk.on_hours,
+        first_month_on_hours,
+        toggles: walk.toggles,
+        arrivals,
+        lingered,
+        events: walk.dwells,
+        final_on: walk.final_on,
     }
-    out.final_on = on;
-    out
 }
 
 /// Tick the entire catalog.
@@ -320,6 +292,12 @@ pub fn run_catalog(swarms: &[Swarm], cfg: &CatalogRunConfig) -> CatalogRun {
 mod tests {
     use super::*;
     use swarm_measurement::{generate_catalog, CatalogConfig};
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
 
     fn small_catalog() -> Vec<Swarm> {
         generate_catalog(&CatalogConfig {
@@ -375,6 +353,59 @@ mod tests {
         let a = run_catalog(&swarms, &cfg);
         let b = run_catalog(&swarms, &cfg);
         assert_eq!(a.per_swarm, b.per_swarm);
+    }
+
+    #[test]
+    fn summaries_are_pinned_for_fig1_swarms() {
+        // Figure 1's quick catalog walked as `catalog-live` walks it.
+        // Swarms 518, 398 and 31 carry the largest eq. (9) loads and 372
+        // toggles most often. Each row pins one swarm and start setting:
+        // on_hours bits, first_month_on_hours bits, toggles, arrivals,
+        // lingered, events, final_on and an FNV-1a of the recorded windows.
+        type Pinned = (u64, u64, u64, u64, u64, u64, bool, u64);
+        #[rustfmt::skip]
+        const GOLDEN: [(usize, bool, Pinned); 12] = [
+            (518, false, (0x40b3b00000000000, 0x4086800000000000, 0, 252, 16, 30, true, 0x81f76639facfee86)),
+            (518, true, (0x40b3b00000000000, 0x4086800000000000, 0, 88, 3, 30, true, 0xb271cd82d3ed3213)),
+            (398, false, (0x40b3b00000000000, 0x4086800000000000, 0, 470, 23, 30, true, 0x53ddb1b29b8dc808)),
+            (398, true, (0x40b3b00000000000, 0x4086800000000000, 0, 176, 10, 30, true, 0x51271f390bde2934)),
+            (31, false, (0x40b3b00000000000, 0x4086800000000000, 0, 2339, 125, 30, true, 0xf376177ef5b0db98)),
+            (31, true, (0x40b3b00000000000, 0x4086800000000000, 0, 823, 42, 30, true, 0xfc700a5624857ef5)),
+            (372, false, (0x40698008af008b98, 0x406402cbc642eab0, 328, 68, 2, 358, false, 0x1998d656047b79dc)),
+            (372, true, (0x405d9280e421ef68, 0x4057b75981070358, 192, 19, 2, 222, false, 0xf6deb932d283d55a)),
+            (0, false, (0x4084a086d26cb2ea, 0x407dce608956a720, 13, 2153, 91, 43, false, 0x101c7ed185a2659a)),
+            (0, true, (0x405743a5edbd7e20, 0x405095fc8f089ed0, 4, 38, 1, 34, false, 0x5db8bac442fb3976)),
+            (1500, false, (0x40af2ad089ae5b1b, 0x4086800000000000, 11, 28, 2, 41, false, 0xecb9efa2a9cbc6ab)),
+            (1500, true, (0x40ac73390083b8dc, 0x4084c413c857cd0c, 9, 9, 0, 39, false, 0xcc45292937de77b3)),
+        ];
+        let catalog = generate_catalog(&CatalogConfig {
+            scale: 0.002,
+            seed: 1001,
+        });
+        for (id, start_at_generated_age, want) in GOLDEN {
+            let cfg = CatalogRunConfig {
+                catalog_seed: 1003,
+                months: 7,
+                threads: 1,
+                start_at_generated_age,
+            };
+            let mut rec = swarm_obs::Recorder::new(TS_WINDOW_HOURS);
+            let s = simulate_swarm_recorded(&catalog[id], &cfg, Some(&mut rec));
+            assert_eq!(
+                (
+                    s.on_hours.to_bits(),
+                    s.first_month_on_hours.to_bits(),
+                    s.toggles,
+                    s.arrivals,
+                    s.lingered,
+                    s.events,
+                    s.final_on,
+                    fnv1a(format!("{:?}", rec.windows()).as_bytes()),
+                ),
+                want,
+                "swarm {id}, start_at_generated_age {start_at_generated_age}: {s:?}"
+            );
+        }
     }
 
     #[test]

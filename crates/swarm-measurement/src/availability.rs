@@ -6,7 +6,7 @@
 //! (7-month) trace.
 
 use crate::catalog::Swarm;
-use crate::observe::{availability_fraction, monitor};
+use crate::observe::{availability_fraction, monitor, HOURS_PER_MONTH};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use swarm_stats::Ecdf;
@@ -49,7 +49,7 @@ pub fn availability_study<R: Rng + ?Sized>(
     let mut whole = Vec::with_capacity(swarms.len());
     for s in swarms {
         let samples = monitor(s, months, rng);
-        first.push(availability_fraction(&samples[..720.min(samples.len())]));
+        first.push(availability_fraction(&samples[..HOURS_PER_MONTH as usize]));
         whole.push(availability_fraction(&samples));
     }
     AvailabilityStudy {

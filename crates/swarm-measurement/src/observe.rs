@@ -9,9 +9,16 @@
 //! periods are exponential with mean `1/r`. Demand and publisher interest
 //! decay with swarm age, which is what separates the paper's first-month
 //! curve from the whole-trace curve in Figure 1.
+//!
+//! This module owns the workspace's one simulator of that process, the
+//! event-driven [`seed_walk`]. The monitoring agents ([`monitor`]) sample
+//! its trajectory at hour boundaries; the sharded catalog runtime
+//! (`swarm-catalog`) walks it with a hook that adds the peers arriving
+//! while a seed is online.
 
 use crate::catalog::Swarm;
 use rand::Rng;
+use rand_distr::{Distribution, Exp};
 use serde::{Deserialize, Serialize};
 use swarm_queue::busy::TwoPhaseBusyPeriod;
 
@@ -19,9 +26,7 @@ use swarm_queue::busy::TwoPhaseBusyPeriod;
 pub const HOURS_PER_MONTH: f64 = 720.0;
 
 /// How often (in hours) the slowly-varying seed-process parameters are
-/// refreshed: weekly. Shared by the hourly [`monitor`] agents and the
-/// event-driven catalog runtime (`swarm-catalog`), so both discretize
-/// the age-decay the same way.
+/// refreshed by [`seed_walk`]: weekly.
 pub const PARAM_REFRESH_HOURS: usize = 24 * 7;
 
 /// Age-dependent effective parameters of a swarm's seed process.
@@ -75,37 +80,106 @@ pub fn stationary_availability(swarm: &Swarm, age_days: f64) -> f64 {
     p.on_mean / (p.on_mean + p.off_mean)
 }
 
-/// Hourly seed-presence samples over `months` months of monitoring,
-/// starting at the swarm's creation.
+/// Outcome of one [`seed_walk`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeedWalk {
+    /// Hours with at least one seed online.
+    pub on_hours: f64,
+    /// ON↔OFF transitions.
+    pub toggles: u64,
+    /// Dwells walked, one exponential draw each.
+    pub dwells: u64,
+    /// Was a seed online at the end of the horizon?
+    pub final_on: bool,
+}
+
+/// Event-driven walk of `swarm`'s seed ON/OFF process over
+/// `horizon_hours`, starting at age `start_age_days`.
 ///
-/// The ON/OFF process is simulated with *time-varying hazards*: both
-/// period lengths are exponential with age-dependent means, so each hour
-/// the state toggles with probability `1 − e^{−1/mean(age)}`. This is the
-/// correct generalization of the alternating renewal process to decaying
-/// parameters — a swarm that starts with a month-long busy period still
-/// goes dark once its publisher's interest fades, which is what separates
-/// Figure 1's first-month curve from its whole-trace curve. Parameters
-/// are refreshed weekly (they vary slowly).
+/// The first state is drawn from the stationary availability at the
+/// start age. Time then advances in weekly [`PARAM_REFRESH_HOURS`]
+/// segments: within a segment the [`seed_process`] parameters are
+/// constant, so dwell times are exponential and truncating one at the
+/// segment end is exact by memorylessness.
+///
+/// `on_dwell(rng, from, until, age_days)` is called for every dwell
+/// `[from, until)` hours with a seed online, right after the dwell's own
+/// draw and before the next one; `age_days` is the swarm's age at the
+/// start of the segment. Whatever the hook draws from `rng` therefore
+/// lands at a fixed point in the stream.
+pub fn seed_walk<R, F>(
+    swarm: &Swarm,
+    start_age_days: f64,
+    horizon_hours: f64,
+    rng: &mut R,
+    mut on_dwell: F,
+) -> SeedWalk
+where
+    R: Rng + ?Sized,
+    F: FnMut(&mut R, f64, f64, f64),
+{
+    let refresh = PARAM_REFRESH_HOURS as f64;
+    let p0 = seed_process(swarm, start_age_days);
+    let mut on = rng.gen::<f64>() < p0.on_mean / (p0.on_mean + p0.off_mean);
+    let (mut on_hours, mut toggles, mut dwells) = (0.0, 0, 0);
+    let mut t = 0.0f64;
+    while t < horizon_hours {
+        let seg_end = (((t / refresh).floor() + 1.0) * refresh).min(horizon_hours);
+        let age_days = start_age_days + t / 24.0;
+        // The first segment starts at `start_age_days`, where `p0` already is.
+        let params = if t == 0.0 {
+            p0
+        } else {
+            seed_process(swarm, age_days)
+        };
+        while t < seg_end {
+            let mean = if on { params.on_mean } else { params.off_mean };
+            let dwell = Exp::new(1.0 / mean).expect("positive rate").sample(rng);
+            let until = (t + dwell).min(seg_end);
+            if on {
+                on_hours += until - t;
+                on_dwell(rng, t, until, age_days);
+            }
+            dwells += 1;
+            t = until;
+            if until < seg_end {
+                on = !on;
+                toggles += 1;
+            }
+        }
+    }
+    SeedWalk {
+        on_hours,
+        toggles,
+        dwells,
+        final_on: on,
+    }
+}
+
+/// Is `t`, where a [`seed_walk`] dwell over `horizon_hours` starts or
+/// ends, an ON↔OFF toggle? The walk toggles only strictly inside a
+/// refresh segment, so every such point that is not a segment edge (a
+/// multiple of [`PARAM_REFRESH_HOURS`] or the horizon) is one.
+pub fn is_toggle(t: f64, horizon_hours: f64) -> bool {
+    t != horizon_hours && t % PARAM_REFRESH_HOURS as f64 != 0.0
+}
+
+/// Hourly seed-presence samples over `months` months of monitoring,
+/// starting at the swarm's creation: the agents' view of one
+/// [`seed_walk`].
+///
+/// Sample `h` is the state at the end of hour `h`, as an agent polling
+/// on the hour records it: online iff an ON dwell `[from, until)` has
+/// `from < h + 1 <= until`, i.e. `h` in `floor(from)..floor(until)`.
+/// Toggles fall on whole hours with probability zero, so the limit from
+/// the left is the state at `h + 1`.
 pub fn monitor<R: Rng + ?Sized>(swarm: &Swarm, months: u32, rng: &mut R) -> Vec<bool> {
     assert!(months >= 1, "must monitor for at least one month");
-    let horizon_hours = (months as f64 * HOURS_PER_MONTH) as usize;
-    let mut samples = Vec::with_capacity(horizon_hours);
-    // Per-hour toggle probability out of the OFF (index 0) and ON
-    // (index 1) states; it only changes when the parameters do.
-    let toggle =
-        |p: SeedProcessParams| [p.off_mean, p.on_mean].map(|mean| 1.0 - (-1.0 / mean).exp());
-    let p0 = seed_process(swarm, 0.0);
-    let mut on = rng.gen::<f64>() < p0.on_mean / (p0.on_mean + p0.off_mean);
-    let mut p_toggle = toggle(p0);
-    for hour in 0..horizon_hours {
-        if hour % PARAM_REFRESH_HOURS == 0 && hour > 0 {
-            p_toggle = toggle(seed_process(swarm, hour as f64 / 24.0));
-        }
-        if rng.gen::<f64>() < p_toggle[usize::from(on)] {
-            on = !on;
-        }
-        samples.push(on);
-    }
+    let horizon_hours = months as f64 * HOURS_PER_MONTH;
+    let mut samples = vec![false; horizon_hours as usize];
+    seed_walk(swarm, 0.0, horizon_hours, rng, |_, from, until, _| {
+        samples[from as usize..until as usize].fill(true);
+    });
     samples
 }
 
@@ -218,6 +292,37 @@ mod tests {
             measured >= lo - 0.05 && measured <= hi + 0.05,
             "measured {measured} outside stationary envelope [{lo}, {hi}]"
         );
+    }
+
+    #[test]
+    fn monitor_samples_the_walk() {
+        // The agents' hour samples and the walk they poll describe one
+        // trajectory: each maximal ON interval's sample count is within
+        // one hour of its length, and there are at most toggles + 1.
+        let catalog = generate_catalog(&CatalogConfig {
+            scale: 0.002,
+            seed: 1001,
+        });
+        let horizon = 7.0 * HOURS_PER_MONTH;
+        for seed in [1002, 1003] {
+            for s in &catalog {
+                let samples = monitor(s, 7, &mut ChaCha8Rng::seed_from_u64(seed));
+                let walk = seed_walk(
+                    s,
+                    0.0,
+                    horizon,
+                    &mut ChaCha8Rng::seed_from_u64(seed),
+                    |_, _, _, _| {},
+                );
+                let on_samples = samples.iter().filter(|&&on| on).count() as f64;
+                assert!(
+                    (on_samples - walk.on_hours).abs() <= (walk.toggles + 1) as f64,
+                    "swarm {}: {on_samples} ON samples vs {walk:?}",
+                    s.id
+                );
+                assert_eq!(samples.last(), Some(&walk.final_on), "swarm {}", s.id);
+            }
+        }
     }
 
     #[test]
