@@ -7,35 +7,35 @@ use crate::output::Report;
 use crate::run_experiment;
 use swarm_lab::{JobOutput, JobSpec};
 
-/// Measured quick-mode wall seconds per experiment (reference machine,
-/// release build). Only relative magnitude matters: the scheduler
-/// dispatches longest-first, so the expensive figure-6 sweeps and the
-/// measurement-study experiments start immediately instead of
-/// stretching the tail of the run.
+/// Measured quick-mode wall seconds per experiment (release build,
+/// 2-core x86-64 box, median of three `repro all --quick --no-cache
+/// --jobs 1` runs). Only relative magnitude matters: the scheduler
+/// dispatches longest-first, so the expensive figure-6 sweeps start
+/// immediately instead of stretching the tail of the run. Outputs do not
+/// depend on these hints.
 ///
-/// Re-measured after the quiescence fast-forward landed: the ordering
-/// barely moved, because the figure experiments simulate mostly-busy
-/// swarms whose rechoke boundaries bound every elidable gap. The
-/// order-of-magnitude wins live in the long-horizon unavailable-
-/// publisher regimes exercised by the `bt_idle` benchmark instead.
-///
-/// The `catalog` family (the `catalog-live` experiment plus the live
-/// arms inside `table-books`/`table-friends`) was measured after the
-/// sharded runtime landed: the event-driven engine makes the live arm
-/// cheaper than the sampled arm it sits beside, so `catalog-live` itself
-/// is mid-pack.
+/// Last re-measured after the fast eq. (9) kernel, the single seed-walk
+/// simulator and the `swarm-bt` neighbourhood prefilters. The kernel and
+/// the seed walk moved the measurement jobs (`fig1`, `ablation-bias`,
+/// `catalog-live`) from the top of the table to mid-pack, so the
+/// block-engine sweeps now lead, with `table-books` third. Every
+/// experiment not listed measures under 0.03 s.
 fn quick_cost(id: &str) -> f64 {
     match id {
-        "fig6a" => 1.6,
-        "fig6b" => 1.4,
-        "ablation-bias" => 1.2,
-        "fig1" => 1.1,
-        "catalog-live" => 0.4,
-        "ablation-selection" | "fig5" | "fig6c" => 0.7,
-        "ablation-threshold" => 0.35,
-        "fig4" => 0.2,
-        "table-books" | "fig3" | "ablation-trace" | "ablation-service" => 0.1,
-        _ => 0.05,
+        "fig6a" => 1.5,
+        "fig6b" => 1.3,
+        "table-books" => 1.0,
+        "ablation-selection" | "fig5" => 0.8,
+        "fig6c" => 0.7,
+        "ablation-threshold" => 0.55,
+        "ablation-bias" => 0.5,
+        "fig1" => 0.37,
+        "fig4" => 0.23,
+        "catalog-live" => 0.2,
+        "ablation-service" => 0.15,
+        "ablation-trace" => 0.1,
+        "fig3" => 0.06,
+        _ => 0.02,
     }
 }
 

@@ -9,7 +9,8 @@
 //! The module is layered:
 //!
 //! * **Kernels** — free functions over raw `&[u64]` word slices
-//!   (`fill_ones`, `count_ones`, `any_and_not`, `ones`, `and_not_ones`).
+//!   (`fill_ones`, `count_ones`, `any_and`, `any_and_not`, `ones`,
+//!   `and_not_ones`).
 //!   Every consumer of piece bitmaps funnels through these, so the
 //!   per-bit/per-word contract is tested in exactly one place.
 //! * **[`BitArena`]** — one contiguous `Vec<u64>` holding every peer's
@@ -49,6 +50,13 @@ pub fn fill_ones(words: &mut [u64], len: usize) {
 #[inline]
 pub fn count_ones(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Is any bit set in `a & b` — do the two bitmaps share a piece?
+#[inline]
+pub fn any_and(a: &[u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).any(|(&x, &y)| x & y != 0)
 }
 
 /// Is any bit set in `theirs & !mine` — i.e. does `theirs` hold a piece
@@ -543,6 +551,10 @@ mod tests {
                 !expect.is_empty()
             );
             prop_assert_eq!(count_ones(mine.as_words()), mine.count());
+            prop_assert_eq!(
+                any_and(theirs.as_words(), mine.as_words()),
+                mine.ones().any(|p| theirs.has(p))
+            );
         }
 
         #[test]

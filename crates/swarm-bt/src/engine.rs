@@ -397,6 +397,16 @@ struct Peers {
     /// loop's cap check to one cache line per downloader.
     recv: Vec<(u64, f64)>,
     neighbors: Vec<Vec<usize>>,
+    /// Live degree: how many entries of `neighbors[i]` are online,
+    /// counting repeats. Kept for online non-publishers, so the tracker,
+    /// PEX and re-announce degree checks read a field instead of walking
+    /// the list. It changes only when an edge is added (`connect`, both
+    /// ends online), a leecher leaves (leecher–leecher edges are
+    /// symmetric while both ends are online, so the leaver's own list
+    /// names the peers to decrement), or the publisher flips (every
+    /// online leecher adds or drops its publisher entries). Offline
+    /// entries pruned at re-announce never counted.
+    live_deg: Vec<u32>,
     /// Per-downloader connection rows, one per distinct uploader (see
     /// [`Conn`]). Replaces the three separate association lists the
     /// engine used to keep (`recv_prev`, `recv_cur`, `assigned`): the
@@ -469,6 +479,7 @@ impl Peers {
         self.counted.push(counted);
         self.recv.push((u64::MAX, 0.0));
         self.neighbors.push(Vec::new());
+        self.live_deg.push(0);
         self.conns.push(Vec::new());
         self.online.len() - 1
     }
@@ -567,6 +578,13 @@ struct BtEngine<'c> {
     /// online subset is a sliver of it. Unordered — every reader takes a
     /// minimum or an any(), so iteration order cannot leak into results.
     online_ids: Vec<usize>,
+    /// Set by a re-announce that ran while the publisher was offline,
+    /// cleared when it returns. That re-announce pruned the publisher
+    /// from every online list, and until it returns nobody can list it
+    /// again: tracker joins and PEX connect online peers only. So while
+    /// the latch is set, `reannounce_noop` has no publisher entry to
+    /// look for.
+    publisher_pruned: bool,
     // --- reusable scratch (cleared before use; steady-state ticks do not
     //     allocate once these are warm) ----------------------------------
     /// Online node ids, ascending.
@@ -592,6 +610,10 @@ struct BtEngine<'c> {
     /// `pick_piece` enumeration — so the candidate walk is a pure word
     /// expression `theirs & !mine & !taken`.
     taken_words: Vec<u64>,
+    /// Scarce-piece mask, one arena stride wide, refreshed by
+    /// [`Self::fill_scarce`] before each interest scan: bit `p` is set
+    /// iff some online non-publisher lacks piece `p`.
+    scarce: Vec<u64>,
     /// Per-node reciprocity scores for the rechoke sort, stamp-cleared.
     score: Vec<f64>,
     score_stamp: Vec<u64>,
@@ -743,6 +765,7 @@ impl<'c> BtEngine<'c> {
             } else {
                 Vec::new()
             },
+            publisher_pruned: false,
             scratch_online: Vec::new(),
             scratch_ids: Vec::new(),
             scratch_nb: Vec::new(),
@@ -752,6 +775,7 @@ impl<'c> BtEngine<'c> {
             scratch_complete: Vec::new(),
             scratch_rechoke: Vec::new(),
             taken_words: vec![0; bits_words],
+            scarce: vec![0; bits_words],
             score: Vec::new(),
             score_stamp: Vec::new(),
             score_gen: 0,
@@ -953,7 +977,7 @@ impl<'c> BtEngine<'c> {
 
     /// The first tick ≥ `from` at which a non-elidable event can fire,
     /// or `None` when tick `from` itself must be executed densely.
-    fn quiescent_wake(&self, from: u64, hard_end: u64) -> Option<u64> {
+    fn quiescent_wake(&mut self, from: u64, hard_end: u64) -> Option<u64> {
         // The detector's proofs quantify over online peers only, via the
         // maintained id list; in debug builds, verify it against the
         // per-node flags it mirrors.
@@ -1011,6 +1035,7 @@ impl<'c> BtEngine<'c> {
                 wake = wake.min(until);
             }
         }
+        self.fill_scarce();
         if !self.rechoke_noop() {
             wake = wake.min(next_multiple(from, self.cfg.rechoke_interval));
         }
@@ -1056,7 +1081,8 @@ impl<'c> BtEngine<'c> {
     /// probes live, a leftover previous unchoke-pair set would be
     /// swapped by churn accounting, so it must be empty too — then the
     /// only dense effect left is the `bt.rechoke.count` increment,
-    /// which [`fast_forward`] replays.
+    /// which [`fast_forward`] replays. Reads the scarce-piece mask, so
+    /// the caller refreshes it first.
     fn rechoke_noop(&self) -> bool {
         if self.probes.is_some() && !self.unchoke_pairs_prev.is_empty() {
             return false;
@@ -1071,20 +1097,56 @@ impl<'c> BtEngine<'c> {
             {
                 return false;
             }
-            if self.peers.num_held[i] == 0 {
-                continue;
-            }
-            for &d in &self.peers.neighbors[i] {
-                if self.peers.online[d]
-                    && d != PUBLISHER
-                    && !self.is_seed(d)
-                    && bitfield::any_and_not(self.bits.row(i), self.bits.row(d))
-                {
-                    return false;
-                }
+            if self.may_interest(i) && self.has_interested_neighbor(i) {
+                return false;
             }
         }
         true
+    }
+
+    /// Refresh the scarce-piece mask: bit `p` is set iff
+    /// `rep.counts[p] < online_nonpub`, i.e. some online non-publisher
+    /// lacks piece `p`. O(pieces), once per interest scan.
+    fn fill_scarce(&mut self) {
+        let everyone = self.online_nonpub as u32;
+        self.scarce.fill(0);
+        for (p, &c) in self.rep.counts.iter().enumerate() {
+            if c < everyone {
+                self.scarce[p / 64] |= 1u64 << (p % 64);
+            }
+        }
+    }
+
+    /// Scarce-piece prefilter for the interest scans: can any neighbor
+    /// of `u` be interested in it? An interested neighbor is an online
+    /// non-publisher lacking a piece `u` holds, so that piece is in the
+    /// scarce mask; a `u` with no scarce piece has an empty interested
+    /// set, and skipping its neighbor walk draws no RNG and changes
+    /// nothing. Reads the mask as last refreshed by [`Self::fill_scarce`].
+    fn may_interest(&self, u: usize) -> bool {
+        let may = self.peers.num_held[u] > 0 && bitfield::any_and(self.bits.row(u), &self.scarce);
+        debug_assert!(
+            may || !self.has_interested_neighbor(u),
+            "scarce-piece prefilter skipped an interested neighbor of {u}"
+        );
+        may
+    }
+
+    /// Does some online neighbor of `u` want a piece `u` holds? The
+    /// unfiltered interest test of the rechoke scan.
+    fn has_interested_neighbor(&self, u: usize) -> bool {
+        self.peers.neighbors[u]
+            .iter()
+            .any(|&d| self.is_interested(u, d))
+    }
+
+    /// Is neighbor `d` an online leecher that lacks a piece `u` holds?
+    #[inline]
+    fn is_interested(&self, u: usize, d: usize) -> bool {
+        self.peers.online[d]
+            && d != PUBLISHER
+            && !self.is_seed(d)
+            && bitfield::any_and_not(self.bits.row(u), self.bits.row(d))
     }
 
     /// Would a PEX round inside the gap change nothing? A gossiping peer
@@ -1107,12 +1169,23 @@ impl<'c> BtEngine<'c> {
     /// publisher comes back, so that prune must run densely. Entries
     /// for departed leechers are inert — they never reactivate and
     /// every neighbor-list reader filters on `active` — so pruning
-    /// them can wait for the next dense re-announce.
+    /// them can wait for the next dense re-announce. Once a re-announce
+    /// has pruned the offline publisher (`publisher_pruned`), no online
+    /// list can hold it until it returns, so the list walks are skipped.
     fn reannounce_noop(&self) -> bool {
+        debug_assert!(
+            !self.publisher_pruned
+                || self
+                    .online_ids
+                    .iter()
+                    .all(|&i| !self.peers.neighbors[i].contains(&PUBLISHER)),
+            "an online peer lists the pruned publisher"
+        );
         let prune_pending = matches!(
             self.cfg.publisher,
             BtPublisher::OnOff { .. } | BtPublisher::Periodic { .. }
-        ) && !self.peers.online[PUBLISHER];
+        ) && !self.peers.online[PUBLISHER]
+            && !self.publisher_pruned;
         for &i in &self.online_ids {
             if i != PUBLISHER && self.active_neighbor_count(i) < MIN_NEIGHBORS {
                 return false;
@@ -1240,7 +1313,23 @@ impl<'c> BtEngine<'c> {
         self.scratch_online.sort_unstable();
     }
 
+    /// Online entries in `neighbors[i]` (repeats counted) of online peer
+    /// `i`: the maintained live degree for a leecher, a list walk for
+    /// the publisher, whose degree is not maintained.
     fn active_neighbor_count(&self, i: usize) -> usize {
+        debug_assert!(self.peers.online[i], "degree of offline peer {i}");
+        if i == PUBLISHER {
+            return self.count_live_neighbors(i);
+        }
+        debug_assert_eq!(
+            self.peers.live_deg[i] as usize,
+            self.count_live_neighbors(i),
+            "live degree of {i} drifted"
+        );
+        self.peers.live_deg[i] as usize
+    }
+
+    fn count_live_neighbors(&self, i: usize) -> usize {
         self.peers.neighbors[i]
             .iter()
             .filter(|&&n| self.peers.online[n])
@@ -1252,13 +1341,56 @@ impl<'c> BtEngine<'c> {
             return;
         }
         // Capacity counts *live* connections only: departed peers drop
-        // their TCP connections, freeing slots for newcomers.
+        // their TCP connections, freeing slots for newcomers. Only
+        // `a`'s list is checked for `b`: a leecher that pruned the
+        // offline publisher and re-joins after it returns is pushed
+        // onto the publisher's list a second time. That is a known
+        // defect (ROADMAP.md); fixing it changes outputs.
         if self.active_neighbor_count(a) < self.cfg.max_neighbors
             && self.active_neighbor_count(b) < self.cfg.max_neighbors
             && !self.peers.neighbors[a].contains(&b)
         {
             self.peers.neighbors[a].push(b);
             self.peers.neighbors[b].push(a);
+            // Both ends are online (tracker and PEX only offer online
+            // peers), so each list gained one live entry.
+            for x in [a, b] {
+                if x != PUBLISHER {
+                    self.peers.live_deg[x] += 1;
+                }
+            }
+        }
+    }
+
+    /// Leecher `d` left: each online leecher on its list loses its one
+    /// live entry for `d` (leecher–leecher edges are symmetric and
+    /// unrepeated while both ends are online).
+    fn drop_live_edges(&mut self, d: usize) {
+        let p = &mut self.peers;
+        for &n in &p.neighbors[d] {
+            if n != PUBLISHER && p.online[n] {
+                p.live_deg[n] -= 1;
+            }
+        }
+    }
+
+    /// The publisher just went online (`on`) or offline: every online
+    /// leecher's live degree moves by the number of publisher entries
+    /// on its list. Counted rather than tested with `contains`, so the
+    /// update stays exact whatever repeats the lists hold (the
+    /// publisher's own list does repeat leechers; see `connect`).
+    fn publisher_flip_degrees(&mut self, on: bool) {
+        let p = &mut self.peers;
+        for &i in &self.online_ids {
+            if i == PUBLISHER {
+                continue;
+            }
+            let k = p.neighbors[i].iter().filter(|&&n| n == PUBLISHER).count() as u32;
+            if on {
+                p.live_deg[i] += k;
+            } else {
+                p.live_deg[i] -= k;
+            }
         }
     }
 
@@ -1357,6 +1489,7 @@ impl<'c> BtEngine<'c> {
             self.tracker_join(l);
         }
         self.scratch_nb = lonely;
+        self.publisher_pruned = !self.peers.online[PUBLISHER];
     }
 
     fn pex_round(&mut self) {
@@ -1426,12 +1559,15 @@ impl<'c> BtEngine<'c> {
             if was_online {
                 self.peers.online[PUBLISHER] = false;
                 self.online_ids.retain(|&i| i != PUBLISHER);
+                self.publisher_flip_degrees(false);
                 if let Some(since) = self.publisher_online_since.take() {
                     self.result.publisher_intervals.push((since, tick));
                 }
             } else {
                 self.peers.online[PUBLISHER] = true;
                 self.online_ids.push(PUBLISHER);
+                self.publisher_flip_degrees(true);
+                self.publisher_pruned = false;
                 self.publisher_online_since = Some(tick);
                 // Returning publisher re-announces and reconnects.
                 self.tracker_join(PUBLISHER);
@@ -1444,6 +1580,7 @@ impl<'c> BtEngine<'c> {
         self.publisher_retired = true;
         self.peers.online[PUBLISHER] = false;
         self.online_ids.retain(|&i| i != PUBLISHER);
+        self.publisher_flip_degrees(false);
         self.peers.departed[PUBLISHER] = Some(tick);
         if let Some(since) = self.publisher_online_since.take() {
             self.result.publisher_intervals.push((since, tick));
@@ -1482,20 +1619,16 @@ impl<'c> BtEngine<'c> {
             self.score_stamp.resize(self.peers.len(), 0);
         }
         self.fill_online();
+        self.fill_scarce();
         let mut interested = std::mem::take(&mut self.scratch_interested);
         for oi in 0..self.scratch_online.len() {
             let u = self.scratch_online[oi];
-            if self.peers.num_held[u] == 0 {
+            if !self.may_interest(u) {
                 continue;
             }
             interested.clear();
-            let u_bits = self.bits.row(u);
             for &d in &self.peers.neighbors[u] {
-                if self.peers.online[d]
-                    && d != PUBLISHER
-                    && !self.is_seed(d)
-                    && bitfield::any_and_not(u_bits, self.bits.row(d))
-                {
+                if self.is_interested(u, d) {
                     interested.push(d);
                 }
             }
@@ -1910,6 +2043,7 @@ impl<'c> BtEngine<'c> {
             }
             None => {
                 self.peers.online[d] = false;
+                self.drop_live_edges(d);
                 self.online_ids.retain(|&i| i != d);
                 self.peers.departed[d] = Some(done_at);
                 self.rep.drop_holder(self.bits.row(d));
@@ -1938,6 +2072,7 @@ impl<'c> BtEngine<'c> {
             if let Some(until) = self.peers.linger_until[i] {
                 if until <= tick {
                     self.peers.online[i] = false;
+                    self.drop_live_edges(i);
                     self.peers.departed[i] = Some(tick);
                     self.rep.drop_holder(self.bits.row(i));
                     self.online_ids.retain(|&o| o != i);
@@ -2046,6 +2181,15 @@ impl<'c> BtEngine<'c> {
                 .count(),
             "lingering-seed count drifted"
         );
+        for &i in &self.online_ids {
+            if i != PUBLISHER {
+                assert_eq!(
+                    self.peers.live_deg[i] as usize,
+                    self.count_live_neighbors(i),
+                    "live degree of {i} drifted"
+                );
+            }
+        }
     }
 
     fn finalize(mut self) -> BtResult {
@@ -2236,6 +2380,91 @@ mod tests {
             r.spans.iter().map(|s| s.arrived).collect::<Vec<_>>(),
             vec![0, 5, 5, 120]
         );
+    }
+
+    #[test]
+    fn live_degree_and_prune_latch_track_a_publisher_cycle() {
+        // Publisher off → re-announce prunes it → publisher back → the
+        // lonely leechers re-join through the tracker. The publisher
+        // kept its own entries while offline, so the re-join pushes each
+        // leecher onto its list a second time; the maintained degrees
+        // must match a recount at every step, and the prune latch must
+        // follow the publisher.
+        let cfg = BtConfig {
+            publisher: BtPublisher::OnOff {
+                on_mean: 300.0,
+                off_mean: 900.0,
+                initially_on: true,
+            },
+            ..BtConfig::paper_section_4_3(1, 61)
+        };
+        let mut e = BtEngine::new(&cfg);
+        let flip = |e: &mut BtEngine, tick: u64| {
+            e.next_toggle = Some(tick as f64);
+            e.publisher_transitions(tick);
+        };
+        e.spawn_peer(0, 50.0);
+        e.spawn_peer(0, 50.0);
+        let (l1, l2) = (1, 2);
+        assert_eq!(e.peers.neighbors[PUBLISHER], vec![l1, l2]);
+        for l in [l1, l2] {
+            assert_eq!(e.active_neighbor_count(l), 2, "publisher + other leecher");
+        }
+
+        flip(&mut e, 10);
+        assert!(!e.peers.online[PUBLISHER]);
+        for l in [l1, l2] {
+            assert_eq!(e.peers.live_deg[l], 1, "publisher entry went dark");
+            assert_eq!(e.count_live_neighbors(l), 1);
+        }
+        assert!(!e.publisher_pruned, "nothing pruned yet");
+
+        e.reannounce();
+        assert!(
+            e.publisher_pruned,
+            "re-announce pruned the offline publisher"
+        );
+        for l in [l1, l2] {
+            assert!(!e.peers.neighbors[l].contains(&PUBLISHER));
+            assert_eq!(e.peers.live_deg[l], 1);
+        }
+        assert_eq!(
+            e.peers.neighbors[PUBLISHER],
+            vec![l1, l2],
+            "kept while offline"
+        );
+
+        flip(&mut e, 20);
+        assert!(e.peers.online[PUBLISHER]);
+        assert!(!e.publisher_pruned, "latch clears on return");
+        // The returning publisher's tracker join finds both leechers on
+        // its own list already, so it adds no edge.
+        for l in [l1, l2] {
+            assert_eq!(e.peers.live_deg[l], 1);
+        }
+
+        e.reannounce();
+        assert!(!e.publisher_pruned, "publisher online: nothing to latch");
+        let pub_list = &e.peers.neighbors[PUBLISHER];
+        for l in [l1, l2] {
+            assert_eq!(
+                pub_list.iter().filter(|&&n| n == l).count(),
+                2,
+                "re-join repeats leecher {l} on the publisher's list"
+            );
+            assert_eq!(e.peers.live_deg[l], 2);
+            assert_eq!(e.count_live_neighbors(l), 2);
+        }
+        assert_eq!(e.active_neighbor_count(PUBLISHER), 4, "repeats count");
+
+        flip(&mut e, 30);
+        for l in [l1, l2] {
+            assert_eq!(e.peers.live_deg[l], 1);
+            assert_eq!(e.count_live_neighbors(l), 1);
+        }
+        e.reannounce();
+        assert!(e.publisher_pruned);
+        e.check_index_consistency();
     }
 
     #[test]
